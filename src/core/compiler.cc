@@ -125,16 +125,31 @@ compileTetris(const std::vector<PauliBlock> &blocks,
             synthesize(i);
     } else {
         // Lookahead scheduling (Sec. V-B): start from the block with
-        // the largest active length; then repeatedly rank remaining
-        // blocks by similarity to the last scheduled block, and among
-        // the top-K pick the one with the cheapest root clustering
-        // under the live layout. Both working sets live in a per-job
+        // the largest active length; then repeatedly score every
+        // remaining block once against the last scheduled block
+        // (Eq. 1 on the leaf bit-planes), rank them by score
+        // descending then block index ascending, and among the top K
+        // pick the one with the cheapest root clustering under the
+        // live layout. The ranking is a total order, so the pick
+        // does not depend on the order of `remaining` and the chosen
+        // block is swap-removed. Both working sets live in a per-job
         // arena: allocated once, recycled when the job ends.
+        struct Scored
+        {
+            double score;
+            size_t block;
+            size_t slot; // position in `remaining`
+        };
         Arena arena;
-        const ArenaAllocator<size_t> alloc(arena);
-        std::vector<size_t, ArenaAllocator<size_t>> remaining(ir.size(),
-                                                             0, alloc);
+        std::vector<size_t, ArenaAllocator<size_t>> remaining(
+            ir.size(), 0, ArenaAllocator<size_t>(arena));
         std::iota(remaining.begin(), remaining.end(), 0);
+        auto takeSlot = [&](size_t slot) {
+            const size_t block = remaining[slot];
+            remaining[slot] = remaining.back();
+            remaining.pop_back();
+            return block;
+        };
 
         size_t first = 0;
         for (size_t i = 1; i < remaining.size(); ++i) {
@@ -143,43 +158,47 @@ compileTetris(const std::vector<PauliBlock> &blocks,
                 first = i;
             }
         }
-        size_t last_block = remaining[first];
-        remaining.erase(remaining.begin() + first);
+        size_t last_block = takeSlot(first);
         synthesize(last_block);
 
         const size_t k =
             std::max<size_t>(1, static_cast<size_t>(opts.lookaheadK));
-        std::vector<size_t, ArenaAllocator<size_t>> candidates(alloc);
-        candidates.reserve(ir.size());
+        std::vector<Scored, ArenaAllocator<Scored>> scored{
+            ArenaAllocator<Scored>(arena)};
+        scored.reserve(ir.size());
+        auto ranksBefore = [](const Scored &a, const Scored &b) {
+            if (a.score != b.score)
+                return a.score > b.score;
+            return a.block < b.block;
+        };
         while (!remaining.empty()) {
-            size_t take = std::min(k, remaining.size());
-            candidates.assign(remaining.begin(), remaining.end());
-            std::partial_sort(
-                candidates.begin(), candidates.begin() + take,
-                candidates.end(), [&](size_t a, size_t b) {
-                    double sa = blockSimilarity(ir[last_block], ir[a]);
-                    double sb = blockSimilarity(ir[last_block], ir[b]);
-                    if (sa != sb)
-                        return sa > sb;
-                    return a < b;
-                });
+            const TetrisBlock &last = ir[last_block];
+            scored.clear();
+            for (size_t slot = 0; slot < remaining.size(); ++slot) {
+                const size_t b = remaining[slot];
+                scored.push_back({blockSimilarity(last, ir[b]), b, slot});
+            }
+            const size_t take = std::min(k, scored.size());
+            std::partial_sort(scored.begin(), scored.begin() + take,
+                              scored.end(), ranksBefore);
 
-            size_t chosen = candidates[0];
-            long best_cost =
-                synth.estimateRootClusterCost(ir[chosen], layout);
-            for (size_t i = 1; i < take; ++i) {
-                long cost = synth.estimateRootClusterCost(
-                    ir[candidates[i]], layout);
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    chosen = candidates[i];
+            size_t chosen = 0;
+            if (take > 1) {
+                long best_cost =
+                    synth.estimateRootClusterCost(ir[scored[0].block],
+                                                  layout);
+                for (size_t i = 1; i < take; ++i) {
+                    long cost = synth.estimateRootClusterCost(
+                        ir[scored[i].block], layout);
+                    if (cost < best_cost) {
+                        best_cost = cost;
+                        chosen = i;
+                    }
                 }
             }
 
-            remaining.erase(std::find(remaining.begin(), remaining.end(),
-                                      chosen));
-            last_block = chosen;
-            synthesize(chosen);
+            last_block = takeSlot(scored[chosen].slot);
+            synthesize(last_block);
         }
     }
 

@@ -571,11 +571,10 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
     // 1. Cluster the root qubits around a distance center.
     std::vector<int> root_logicals(tb.rootSet().begin(),
                                    tb.rootSet().end());
-    std::vector<int> terminals;
-    terminals.reserve(root_logicals.size());
+    terminals_.clear();
     for (int q : root_logicals)
-        terminals.push_back(layout.physOf(q));
-    int center = hw_.findCenter(terminals);
+        terminals_.push_back(layout.physOf(q));
+    int center = hw_.findCenter(terminals_);
     std::vector<int> root_positions =
         growCluster(root_logicals, center, layout, circ, stats);
 
@@ -618,13 +617,12 @@ BlockSynthesizer::estimateRootClusterCost(const TetrisBlock &tb,
     const auto &roots = tb.rootSet();
     if (roots.empty())
         return 0;
-    std::vector<int> terminals;
-    terminals.reserve(roots.size());
+    terminals_.clear();
     for (size_t q : roots)
-        terminals.push_back(layout.physOf(static_cast<int>(q)));
-    int center = hw_.findCenter(terminals);
+        terminals_.push_back(layout.physOf(static_cast<int>(q)));
+    int center = hw_.findCenter(terminals_);
     long cost = 0;
-    for (int t : terminals)
+    for (int t : terminals_)
         cost += hw_.distance(t, center);
     return cost;
 }

@@ -154,6 +154,13 @@ class BlockSynthesizer
      * high-water mark. Mutable: const helpers still need scratch.
      */
     mutable Arena arena_;
+    /**
+     * Physical positions of a block's root qubits, refilled by every
+     * root-cluster probe and by synthesizeBlock (findCenter takes a
+     * std::vector, so this is a reused member rather than arena
+     * scratch).
+     */
+    mutable std::vector<int> terminals_;
 };
 
 } // namespace tetris

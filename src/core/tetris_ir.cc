@@ -1,6 +1,6 @@
 #include "core/tetris_ir.hh"
 
-#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <sstream>
 
@@ -13,31 +13,45 @@ TetrisBlock::TetrisBlock(PauliBlock block) : block_(std::move(block))
 {
     leafSet_ = block_.commonQubits();
     rootSet_ = block_.rootQubits();
-    activeLength_ = block_.activeLength();
+    // The root set is the support minus the leaf set.
+    activeLength_ = leafSet_.size() + rootSet_.size();
+
+    const PauliString &first = block_.strings().front();
+    words_ = first.numWords();
+    planes_.assign(4 * words_, 0);
+    uint64_t *mask = planes_.data();
+    uint64_t *lx = mask + words_;
+    uint64_t *lz = lx + words_;
+    uint64_t *root = lz + words_;
+    for (size_t q : leafSet_) {
+        const uint64_t bit = uint64_t{1} << (q & 63);
+        mask[q >> 6] |= bit;
+        lx[q >> 6] |= first.xWords()[q >> 6] & bit;
+        lz[q >> 6] |= first.zWords()[q >> 6] & bit;
+    }
+    for (size_t q : rootSet_)
+        root[q >> 6] |= uint64_t{1} << (q & 63);
 }
 
 PauliOp
 TetrisBlock::leafOp(size_t qubit) const
 {
-    TETRIS_ASSERT(std::binary_search(leafSet_.begin(), leafSet_.end(),
-                                     qubit),
+    const size_t word = qubit >> 6;
+    const unsigned bit = qubit & 63;
+    TETRIS_ASSERT(word < words_ && ((leafMask()[word] >> bit) & 1),
                   "not a leaf qubit");
-    return block_.strings().front().op(qubit);
+    return pauliFromBits(leafX()[word] >> bit, leafZ()[word] >> bit);
 }
 
 bool
 TetrisBlock::hasUniformRootSupport() const
 {
-    if (rootSet_.empty())
-        return true;
-    // Root-occupancy mask once, then one masked word scan per string.
-    const size_t words = block_.strings().front().numWords();
-    std::vector<uint64_t> root_mask(words, 0);
-    for (size_t q : rootSet_)
-        root_mask[q >> 6] |= uint64_t{1} << (q & 63);
+    // Every string must cover the root mask; one masked word scan per
+    // string.
+    const uint64_t *root = rootMask();
     for (const auto &s : block_.strings()) {
-        for (size_t i = 0; i < words; ++i) {
-            if ((root_mask[i] & ~(s.xWords()[i] | s.zWords()[i])) != 0)
+        for (size_t i = 0; i < words_; ++i) {
+            if ((root[i] & ~(s.xWords()[i] | s.zWords()[i])) != 0)
                 return false;
         }
     }
@@ -77,24 +91,17 @@ TetrisBlock::toText() const
 double
 blockSimilarity(const TetrisBlock &a, const TetrisBlock &b)
 {
+    TETRIS_ASSERT(a.numWords() == b.numWords(),
+                  "similarity of blocks on different qubit counts");
+    // |C|: leaf qubits of both blocks whose (x, z) pairs agree.
     size_t common = 0;
-    // Leaf sets are sorted ascending; intersect with matching ops.
-    size_t i = 0, j = 0;
-    const auto &la = a.leafSet();
-    const auto &lb = b.leafSet();
-    while (i < la.size() && j < lb.size()) {
-        if (la[i] < lb[j]) {
-            ++i;
-        } else if (la[i] > lb[j]) {
-            ++j;
-        } else {
-            if (a.leafOp(la[i]) == b.leafOp(lb[j]))
-                ++common;
-            ++i;
-            ++j;
-        }
+    for (size_t i = 0; i < a.numWords(); ++i) {
+        const uint64_t same = ~(a.leafX()[i] ^ b.leafX()[i]) &
+                              ~(a.leafZ()[i] ^ b.leafZ()[i]);
+        common += static_cast<size_t>(
+            std::popcount(a.leafMask()[i] & b.leafMask()[i] & same));
     }
-    size_t denom = la.size() + lb.size() - common;
+    size_t denom = a.leafSet().size() + b.leafSet().size() - common;
     double eq1 = denom == 0 ? 0.0
                             : static_cast<double>(common) /
                                   static_cast<double>(denom);

@@ -425,11 +425,16 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
     rf.serverMs =
         static_cast<double>(steadyNowNs() - t0) / 1e6;
     rf.artifact = serialize::encodeArtifact(key, *result);
+    // Count the result before it leaves: a client that reads the
+    // counter after its reply arrives must already see it. A reply
+    // the socket then refuses is counted apart.
+    engine_.metrics().addCount("serve.results");
     if (sendFrame(fd, FrameType::Result, encodeResult(rf))) {
-        engine_.metrics().addCount("serve.results");
         engine_.metrics()
             .histogram("serve.request_ns")
             .record(steadyNowNs() - t0);
+    } else {
+        engine_.metrics().addCount("serve.result_send_failures");
     }
 }
 

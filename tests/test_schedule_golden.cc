@@ -5,11 +5,10 @@
  * Each case compiles a fixed program with Tetris+O3 (default
  * options, peephole on) and hashes the block order, the full gate
  * stream and the CNOT, depth and duration counts. The expected lines
- * in tests/data/golden/schedule_digests.txt were captured from the
- * partial_sort ranking that compared blocks by calling
- * blockSimilarity twice per comparison. Any change to which block the
- * scheduler picks, or to the circuit synthesized from that choice,
- * shows up as a mismatch. On a mismatch the failure message prints
+ * in tests/data/golden/schedule_digests.txt were captured with the
+ * reference ranking kept in core/schedule_ref. Any change to which
+ * block the scheduler picks, or to the circuit synthesized from that
+ * choice, shows up as a mismatch. On a mismatch the failure message prints
  * the line the current code produces.
  */
 
