@@ -8,14 +8,12 @@ namespace tetris
 {
 
 void
-Circuit::add(const Gate &g)
+Circuit::rejectGate(int q0, int q1) const
 {
-    TETRIS_ASSERT(g.q0 >= 0 && g.q0 < numQubits_, "qubit out of range");
-    if (g.isTwoQubit()) {
-        TETRIS_ASSERT(g.q1 >= 0 && g.q1 < numQubits_, "qubit out of range");
-        TETRIS_ASSERT(g.q0 != g.q1, "two-qubit gate on one wire");
-    }
-    gates_.push_back(g);
+    TETRIS_ASSERT(q0 >= 0 && q0 < numQubits_, "qubit out of range");
+    TETRIS_ASSERT(q1 >= 0 && q1 < numQubits_, "qubit out of range");
+    TETRIS_ASSERT(q0 != q1, "two-qubit gate on one wire");
+    panic("rejectGate called on an in-range gate");
 }
 
 void

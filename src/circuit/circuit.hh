@@ -61,8 +61,24 @@ class Circuit
     size_t size() const { return gates_.size(); }
     bool empty() const { return gates_.empty(); }
 
-    /** Append one gate (qubits must be in range). */
-    void add(const Gate &g);
+    /**
+     * Append one gate (qubits must be in range). Inline, since
+     * synthesis and the artifact decoder add gates one at a time;
+     * an out-of-range gate panics out of line.
+     */
+    void
+    add(const Gate &g)
+    {
+        const bool q0_ok = g.q0 >= 0 && g.q0 < numQubits_;
+        const bool q1_ok = !g.isTwoQubit() ||
+                           (g.q1 >= 0 && g.q1 < numQubits_ && g.q1 != g.q0);
+        if (!q0_ok || !q1_ok) [[unlikely]]
+            rejectGate(g.q0, g.q1);
+        gates_.push_back(g);
+    }
+
+    /** Make room for `n` gates in total. */
+    void reserve(size_t n) { gates_.reserve(n); }
 
     /** Convenience emitters. */
     void h(int q) { add(Gate::h(q)); }
@@ -108,6 +124,12 @@ class Circuit
     Circuit withSwapsDecomposed() const;
 
   private:
+    /**
+     * Panic with the range check a gate on (q0, q1) failed. Takes
+     * the qubits by value so add() never has to spill its gate.
+     */
+    [[noreturn]] void rejectGate(int q0, int q1) const;
+
     int numQubits_ = 0;
     std::vector<Gate> gates_;
 };

@@ -83,7 +83,8 @@ struct CompileStats
     size_t originalCnots = 0;  ///< Naive per-string chain CNOTs.
     double cancelRatio = 0.0;  ///< (original - logical) / original.
     double compileSeconds = 0.0;
-    /** Scheduler time: ranking + cost estimation (not synthesis). */
+    /** Scheduler time: ranking + cost estimation (not IR build,
+     *  in-block reorder or synthesis). */
     double scheduleSeconds = 0.0;
     /** Time inside per-block synthesis. */
     double synthSeconds = 0.0;

@@ -1,6 +1,7 @@
 #include "serialize/artifact.hh"
 
 #include "common/hash.hh"
+#include "common/logging.hh"
 
 namespace tetris::serialize
 {
@@ -18,14 +19,32 @@ constexpr uint32_t kMagic = 0x31414354u;
  */
 constexpr uint64_t kMaxCount = uint64_t{1} << 32;
 
+/** Encoded bytes of one gate: kind, q0, q1, angle. */
+constexpr size_t kGateBytes = 1 + 4 + 4 + 8;
+
+/** Header before the payload: magic, version, key, payload size. */
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
+
+/**
+ * Count gate for untrusted input: n elements of at least
+ * `elem_bytes` each must fit in what is left, which also bounds any
+ * reserve() made from n by the payload the caller already holds.
+ */
 bool
-countOk(BinaryReader &r, uint64_t n)
+countOk(BinaryReader &r, uint64_t n, size_t elem_bytes = 1)
 {
-    if (n > kMaxCount || n > r.remaining()) {
+    if (n > kMaxCount || n > r.remaining() / elem_bytes) {
         r.fail();
         return false;
     }
     return true;
+}
+
+/** Exact encoded size of write(w, l). */
+size_t
+layoutBytes(const Layout &l)
+{
+    return 4 + 8 + 4 * static_cast<size_t>(l.numLogical());
 }
 
 } // namespace
@@ -48,9 +67,10 @@ read(BinaryReader &r, Circuit &c)
 {
     int nq = r.i32();
     uint64_t count = r.u64();
-    if (!r.ok() || nq < 0 || !countOk(r, count))
+    if (!r.ok() || nq < 0 || !countOk(r, count, kGateBytes))
         return false;
     c = Circuit(nq);
+    c.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
         Gate g;
         uint8_t kind = r.u8();
@@ -146,7 +166,7 @@ read(BinaryReader &r, Layout &l)
     // would escape decodeArtifact's no-throw contract). 1<<24 is
     // orders of magnitude above any real device.
     if (!r.ok() || num_physical < 0 || num_physical > (1 << 24) ||
-        !countOk(r, num_logical)) {
+        !countOk(r, num_logical, 4)) {
         return false;
     }
     std::vector<int> l2p(static_cast<size_t>(num_logical));
@@ -166,25 +186,35 @@ read(BinaryReader &r, Layout &l)
 std::string
 encodeArtifact(uint64_t job_key, const CompileResult &result)
 {
-    BinaryWriter payload;
-    write(payload, result.circuit);
-    write(payload, result.stats);
-    write(payload, result.initialLayout);
-    write(payload, result.finalLayout);
-    payload.u64(result.blockOrder.size());
+    // One buffer, sized exactly: header, payload, trailer. The
+    // payload length is back-patched once the payload is written.
+    constexpr size_t kStatsBytes = 19 * 8;
+    const size_t payload_bytes =
+        4 + 8 + kGateBytes * result.circuit.size() + kStatsBytes +
+        layoutBytes(result.initialLayout) +
+        layoutBytes(result.finalLayout) + 8 +
+        8 * result.blockOrder.size() + 1;
+    BinaryWriter w;
+    w.reserve(kHeaderBytes + payload_bytes + 8);
+    w.u32(kMagic);
+    w.u32(kArtifactVersion);
+    w.u64(job_key);
+    w.u64(0); // payload size, patched below
+    write(w, result.circuit);
+    write(w, result.stats);
+    write(w, result.initialLayout);
+    write(w, result.finalLayout);
+    w.u64(result.blockOrder.size());
     for (size_t idx : result.blockOrder)
-        payload.u64(idx);
-    payload.u8(result.cancelled ? 1 : 0);
+        w.u64(idx);
+    w.u8(result.cancelled ? 1 : 0);
 
-    BinaryWriter file;
-    file.u32(kMagic);
-    file.u32(kArtifactVersion);
-    file.u64(job_key);
-    file.u64(payload.size());
-    file.bytes(payload.data().data(), payload.size());
-    file.u64(fnvMixBytes(kFnvOffset, payload.data().data(),
-                         payload.size()));
-    return file.data();
+    const ByteSpan payload = w.span().substr(kHeaderBytes);
+    TETRIS_ASSERT(payload.size() == payload_bytes,
+                  "artifact payload size drifted from its encoder");
+    w.patchU64(kHeaderBytes - 8, payload.size());
+    w.u64(checksum64(payload.data(), payload.size()));
+    return std::move(w).take();
 }
 
 bool
@@ -203,8 +233,7 @@ decodeArtifact(ByteSpan bytes, uint64_t expected_key,
     std::string_view payload = file.view(payload_size);
     uint64_t checksum = file.u64();
     if (!file.ok() || !file.atEnd() ||
-        checksum !=
-            fnvMixBytes(kFnvOffset, payload.data(), payload.size())) {
+        checksum != checksum64(payload.data(), payload.size())) {
         return false;
     }
 
@@ -216,7 +245,7 @@ decodeArtifact(ByteSpan bytes, uint64_t expected_key,
         return false;
     }
     uint64_t order_count = r.u64();
-    if (!r.ok() || !countOk(r, order_count))
+    if (!r.ok() || !countOk(r, order_count, 8))
         return false;
     decoded.blockOrder.resize(static_cast<size_t>(order_count));
     for (auto &idx : decoded.blockOrder)

@@ -10,7 +10,7 @@
  *   u64  jobKey     Engine::jobKey of the compilation
  *   u64  payloadSize
  *   ...  payload    circuit + stats + layout + block order
- *   u64  checksum   FNV-1a over the payload bytes
+ *   u64  checksum   checksum64 (common/hash.hh) over the payload bytes
  *
  * decode() is total: every failure mode — truncation, bit flips,
  * foreign files, version skew, key mismatch — returns false and
@@ -35,9 +35,11 @@ namespace tetris::serialize
 /**
  * Bump on any wire-format change; readers reject other versions.
  * v2 added the seed placement (CompileResult::initialLayout) the
- * streaming frontend chains chunks with; v1 files decode as misses.
+ * streaming frontend chains chunks with. v3 replaced the byte-wise
+ * FNV-1a trailer with the word-at-a-time checksum64; older files
+ * decode as misses.
  */
-inline constexpr uint32_t kArtifactVersion = 2;
+inline constexpr uint32_t kArtifactVersion = 3;
 
 /** Component encoders (appended to `w`). */
 void write(BinaryWriter &w, const Circuit &c);

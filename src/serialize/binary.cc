@@ -1,130 +1,36 @@
 #include "serialize/binary.hh"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
 
 namespace tetris::serialize
 {
 
 void
-BinaryWriter::u8(uint8_t v)
+BinaryWriter::grow(size_t n)
 {
-    out_.push_back(static_cast<char>(v));
-}
-
-void
-BinaryWriter::u32(uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out_.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-BinaryWriter::u64(uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out_.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-BinaryWriter::i32(int32_t v)
-{
-    u32(static_cast<uint32_t>(v));
-}
-
-void
-BinaryWriter::f64(double v)
-{
-    u64(std::bit_cast<uint64_t>(v));
+    out_.resize(std::max(size_ + n, 2 * out_.size()));
 }
 
 void
 BinaryWriter::str(std::string_view v)
 {
     u64(v.size());
-    out_.append(v.data(), v.size());
-}
-
-void
-BinaryWriter::bytes(const void *data, size_t n)
-{
-    out_.append(static_cast<const char *>(data), n);
-}
-
-bool
-BinaryReader::take(size_t n, const char *&p)
-{
-    if (!ok_ || n > data_.size() - pos_) {
-        ok_ = false;
-        return false;
-    }
-    p = data_.data() + pos_;
-    pos_ += n;
-    return true;
-}
-
-uint8_t
-BinaryReader::u8()
-{
-    const char *p = nullptr;
-    if (!take(1, p))
-        return 0;
-    return static_cast<uint8_t>(*p);
-}
-
-uint32_t
-BinaryReader::u32()
-{
-    const char *p = nullptr;
-    if (!take(4, p))
-        return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    return v;
-}
-
-uint64_t
-BinaryReader::u64()
-{
-    const char *p = nullptr;
-    if (!take(8, p))
-        return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    return v;
-}
-
-int32_t
-BinaryReader::i32()
-{
-    return static_cast<int32_t>(u32());
-}
-
-double
-BinaryReader::f64()
-{
-    return std::bit_cast<double>(u64());
+    bytes(v.data(), v.size());
 }
 
 std::string
 BinaryReader::str()
 {
-    uint64_t n = u64();
-    const char *p = nullptr;
-    if (!take(static_cast<size_t>(n), p))
-        return std::string();
-    return std::string(p, static_cast<size_t>(n));
+    const uint64_t n = u64();
+    const char *p = advance(static_cast<size_t>(n));
+    return p ? std::string(p, static_cast<size_t>(n)) : std::string();
 }
 
 ByteSpan
 BinaryReader::view(size_t n)
 {
-    const char *p = nullptr;
-    if (!take(n, p))
-        return ByteSpan();
-    return ByteSpan(p, n);
+    const char *p = advance(n);
+    return p ? ByteSpan(p, n) : ByteSpan();
 }
 
 } // namespace tetris::serialize

@@ -9,7 +9,7 @@
  *   u32  type        FrameType
  *   u64  payloadLen  bytes of payload that follow
  *   ...  payload     type-specific, serialize/binary.hh encoding
- *   u64  checksum    FNV-1a over the payload bytes
+ *   u64  checksum    checksum64 (common/hash.hh) over the payload bytes
  *
  * The payloads reuse the serialize/ layer end to end: submit bodies
  * are BinaryWriter records, and a Result frame's artifact field *is*
@@ -50,15 +50,17 @@ inline constexpr uint32_t kFrameMagic = 0x31505354u;
 
 /**
  * Bump on any frame-layout change; receivers reject other versions.
- * v2 added the Submit initialLayout field (streamed chunk chaining);
- * v1 peers get version_skew, never a misparse.
+ * v2 added the Submit initialLayout field (streamed chunk chaining).
+ * v3 carries the word-at-a-time checksum64 trailer (and v3 .tca
+ * artifacts) instead of byte-wise FNV-1a; older peers get
+ * version_skew, never a misparse or a spurious bad_checksum.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** magic + version + type + payloadLen. */
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 4 + 8;
 
-/** Trailing FNV-1a checksum over the payload. */
+/** Trailing checksum64 over the payload. */
 inline constexpr size_t kFrameTrailerBytes = 8;
 
 /** Default per-frame payload budget (TETRIS_SERVE_MAX_FRAME_MB). */
@@ -96,7 +98,7 @@ void encodeFrameHeader(serialize::BinaryWriter &w, FrameType type,
  */
 bool decodeFrameHeader(serialize::ByteSpan bytes, FrameHeader &out);
 
-/** FNV-1a over a payload, the frame trailer value. */
+/** checksum64 over a payload, the frame trailer value. */
 uint64_t frameChecksum(serialize::ByteSpan payload);
 
 /** One complete frame image: header + payload + checksum. */
@@ -183,7 +185,8 @@ struct ResultFrame
 {
     uint64_t jobKey = 0;
     WireVerify verify = WireVerify::NotRun;
-    /** Submit-to-respond wall time on the server, milliseconds. */
+    /** Server wall time from submit receipt through artifact encode
+     *  (decode, lookup or compile, encode), milliseconds. */
     double serverMs = 0.0;
     /** Complete .tca image; decode with serialize::decodeArtifact. */
     std::string artifact;

@@ -422,9 +422,11 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
     ResultFrame rf;
     rf.jobKey = key;
     rf.verify = static_cast<WireVerify>(entry->verifyStatus());
+    rf.artifact = serialize::encodeArtifact(key, *result);
+    // Stamped after the encode, so the reported server time covers
+    // submit decode, lookup and artifact encode.
     rf.serverMs =
         static_cast<double>(steadyNowNs() - t0) / 1e6;
-    rf.artifact = serialize::encodeArtifact(key, *result);
     // Count the result before it leaves: a client that reads the
     // counter after its reply arrives must already see it. A reply
     // the socket then refuses is counted apart.
