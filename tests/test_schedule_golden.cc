@@ -10,6 +10,11 @@
  * block the scheduler picks, or to the circuit synthesized from that
  * choice, shows up as a mismatch. On a mismatch the failure message prints
  * the line the current code produces.
+ *
+ * The same line format pins Paulihedral+O3 on the six JW molecules in
+ * tests/data/golden/paulihedral_digests.txt. Paulihedral's circuits
+ * lean hardest on the peephole pass, so a change to its reductions
+ * shows up there first.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include <sstream>
 
 #include "chem/uccsd.hh"
+#include "baselines/paulihedral.hh"
 #include "common/hash.hh"
 #include "core/compiler.hh"
 #include "hardware/topologies.hh"
@@ -29,6 +35,8 @@ namespace
 {
 
 const char *kDigestFile = TETRIS_TEST_DATA_DIR "/golden/schedule_digests.txt";
+const char *kPaulihedralDigestFile =
+    TETRIS_TEST_DATA_DIR "/golden/paulihedral_digests.txt";
 
 /** "<name> <digest> cnot=<n> depth=<n> duration=<dt>" for one case. */
 std::string
@@ -55,12 +63,12 @@ digestLine(const std::string &name, const CompileResult &r)
     return os.str();
 }
 
-/** The committed digests, keyed by case name. */
+/** The committed digests in `path`, keyed by case name. */
 std::map<std::string, std::string>
-loadDigests()
+loadDigests(const char *path)
 {
     std::map<std::string, std::string> out;
-    std::ifstream in(kDigestFile);
+    std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#')
@@ -73,7 +81,11 @@ loadDigests()
 class ScheduleGolden : public ::testing::Test
 {
   protected:
-    static void SetUpTestSuite() { digests_ = loadDigests(); }
+    static void
+    SetUpTestSuite()
+    {
+        digests_ = loadDigests(kDigestFile);
+    }
 
     void expectGolden(const std::string &name,
                       const std::vector<PauliBlock> &blocks,
@@ -123,6 +135,23 @@ TEST_F(ScheduleGolden, SyntheticUcc65SpansTwoWords)
     auto blocks = buildSyntheticUcc(65, 7);
     blocks.resize(400);
     expectGolden("ucc65/seed7/400", blocks);
+}
+
+TEST(PaulihedralGolden, PaperMoleculesJw)
+{
+    const auto digests = loadDigests(kPaulihedralDigestFile);
+    ASSERT_EQ(digests.size(), moleculeBenchmarks().size())
+        << "cannot read " << kPaulihedralDigestFile;
+    const CouplingGraph hw = ibmIthaca65();
+    for (const MoleculeSpec &spec : moleculeBenchmarks()) {
+        const std::string name = "jw/" + spec.name;
+        const std::string actual = digestLine(
+            name, compilePaulihedral(buildMolecule(spec, "jw"), hw));
+        auto it = digests.find(name);
+        ASSERT_NE(it, digests.end())
+            << "no golden line for " << name << "; current: " << actual;
+        EXPECT_EQ(actual, it->second);
+    }
 }
 
 } // namespace
