@@ -1,7 +1,10 @@
 #include "circuit/peephole.hh"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -54,6 +57,12 @@ class WireGraph
         return next_[i][slotOf(i, q)];
     }
 
+    int
+    prevOn(int i, int q) const
+    {
+        return prev_[i][slotOf(i, q)];
+    }
+
     /** Unlink gate i from all of its wires and mark it dead. */
     void
     remove(int i)
@@ -64,6 +73,7 @@ class WireGraph
         if (g.isTwoQubit())
             unlinkWire(i, 1);
         alive_[i] = false;
+        --live_;
     }
 
   private:
@@ -92,6 +102,7 @@ class WireGraph
 
     std::vector<Gate> gates_;
     std::vector<bool> alive_;
+    size_t live_ = gates_.size();
     std::vector<std::array<int, 2>> next_;
     std::vector<std::array<int, 2>> prev_;
 
@@ -101,6 +112,7 @@ class WireGraph
     toCircuit(int num_qubits) const
     {
         Circuit out(num_qubits);
+        out.reserve(live_);
         for (size_t i = 0; i < gates_.size(); ++i) {
             if (alive_[i])
                 out.add(gates_[i]);
@@ -199,20 +211,38 @@ class Peephole
     {
     }
 
+    /**
+     * Fixpoint over a dirty set. Pass 1 tries every gate; later
+     * passes try only the gates markReaders/markChanged flagged. Each
+     * pass visits its dirty gates in ascending index order, so the
+     * reductions happen in the order a full rescan would make them.
+     */
     Circuit
     run(PeepholeStats *stats)
     {
+        const size_t n = graph_.size();
+        cur_.assign((n + 63) / 64, ~uint64_t{0});
+        next_.assign(cur_.size(), 0);
+        if (n % 64 != 0)
+            cur_.back() = (uint64_t{1} << (n % 64)) - 1;
+
         bool changed = true;
         int pass = 0;
         while (changed && pass < opts_.maxPasses) {
             changed = false;
             ++pass;
-            for (int i = 0; i < static_cast<int>(graph_.size()); ++i) {
-                if (!graph_.alive(i))
-                    continue;
-                if (tryReduce(i))
-                    changed = true;
+            for (size_t w = 0; w < cur_.size(); ++w) {
+                // Re-read the word each step: a reduction may mark a
+                // later gate of this same word.
+                while (cur_[w] != 0) {
+                    cursor_ = static_cast<int>(
+                        w * 64 + std::countr_zero(cur_[w]));
+                    cur_[w] &= cur_[w] - 1;
+                    if (graph_.alive(cursor_) && tryReduce(cursor_))
+                        changed = true;
+                }
             }
+            std::swap(cur_, next_);
         }
         stats_.passes = pass;
         if (stats)
@@ -221,6 +251,67 @@ class Peephole
     }
 
   private:
+    /**
+     * Gate i's next attempt may differ from its last one. A gate after
+     * the cursor is still ahead in this pass; one at or before it is
+     * retried next pass, as a full rescan would.
+     */
+    void
+    markChanged(int i)
+    {
+        std::vector<uint64_t> &set = i > cursor_ ? cur_ : next_;
+        set[i / 64] |= uint64_t{1} << (i % 64);
+    }
+
+    /**
+     * Mark every gate whose partner scan can reach gate k, before k
+     * is unlinked. k's predecessor on each wire always reads it. A
+     * gate further back reads k only if its scan hops every gate in
+     * between, within scanWindow gates. A scan along wire q hops
+     * exactly the gates of the scanning gate's own class on q:
+     * Z-class (diagonal 1q, CX control) or X-class (X-basis 1q, CX
+     * target). So the readers are the predecessor plus the run of
+     * its class that ends at it.
+     */
+    void
+    markReaders(int k)
+    {
+        const Gate &g = graph_.gate(k);
+        markReadersOn(k, g.q0);
+        if (g.isTwoQubit())
+            markReadersOn(k, g.q1);
+    }
+
+    void
+    markReadersOn(int k, int q)
+    {
+        int p = graph_.prevOn(k, q);
+        if (p == kNone)
+            return;
+        markChanged(p);
+        if (!opts_.commutationAware)
+            return;
+        // commutesWithCxOnWire(g, q, true) is Z-class, false X-class.
+        const bool z_class = commutesWithCxOnWire(graph_.gate(p), q, true);
+        if (!z_class && !commutesWithCxOnWire(graph_.gate(p), q, false))
+            return;
+        // The scan from the m-th gate back examines m gates, k last.
+        for (int m = 2; m <= opts_.scanWindow; ++m) {
+            p = graph_.prevOn(p, q);
+            if (p == kNone ||
+                !commutesWithCxOnWire(graph_.gate(p), q, z_class))
+                return;
+            markChanged(p);
+        }
+    }
+
+    void
+    remove(int k)
+    {
+        markReaders(k);
+        graph_.remove(k);
+    }
+
     bool
     tryReduce(int i)
     {
@@ -253,8 +344,8 @@ class Peephole
         while (j != kNone && hops < opts_.scanWindow) {
             const Gate &gj = graph_.gate(j);
             if (gj.isOneQubit() && isInversePair1q(g.kind, gj.kind)) {
-                graph_.remove(j);
-                graph_.remove(i);
+                remove(j);
+                remove(i);
                 stats_.removedOneQubit += 2;
                 return true;
             }
@@ -271,7 +362,7 @@ class Peephole
     {
         const Gate &g = graph_.gate(i);
         if (normalizeAngle(g.angle) == 0.0) {
-            graph_.remove(i);
+            remove(i);
             stats_.removedOneQubit += 1;
             return true;
         }
@@ -282,10 +373,15 @@ class Peephole
             Gate &gj = graph_.gate(j);
             if (gj.kind == g.kind && gj.q0 == q) {
                 gj.angle = normalizeAngle(gj.angle + g.angle);
-                graph_.remove(i);
+                // j's own zero check reads the new angle. A merged
+                // angle is already normalized, so that check cannot
+                // newly pass today; the mark keeps the dirty set's
+                // soundness independent of that fact.
+                markChanged(j);
+                remove(i);
                 ++stats_.mergedRotations;
                 if (gj.angle == 0.0) {
-                    graph_.remove(j);
+                    remove(j);
                     stats_.removedOneQubit += 1;
                 }
                 return true;
@@ -310,8 +406,8 @@ class Peephole
             const Gate &gj = graph_.gate(j);
             if (gj.kind == GateKind::CX && gj.q0 == c && gj.q1 == t) {
                 if (targetWireClear(i, j, t)) {
-                    graph_.remove(j);
-                    graph_.remove(i);
+                    remove(j);
+                    remove(i);
                     stats_.removedCx += 2;
                     return true;
                 }
@@ -364,8 +460,8 @@ class Peephole
                          (gj.q0 == g.q1 && gj.q1 == g.q0);
         if (!same_pair)
             return false;
-        graph_.remove(j0);
-        graph_.remove(i);
+        remove(j0);
+        remove(i);
         stats_.removedSwap += 2;
         return true;
     }
@@ -374,6 +470,10 @@ class Peephole
     PeepholeOptions opts_;
     int numQubits_;
     PeepholeStats stats_;
+    /** Gates to try in this pass (after the cursor) and the next. */
+    std::vector<uint64_t> cur_, next_;
+    /** The gate this pass is trying; -1 before the first. */
+    int cursor_ = -1;
 };
 
 } // namespace

@@ -11,6 +11,26 @@
  *
  * The pass is unitary-preserving; tests/circuit verify this against
  * the statevector simulator on randomized circuits.
+ *
+ * The fixpoint runs over a dirty set. A reduction attempt on gate i
+ * has no side effect when it fails, and it reads only gate i (its
+ * angle, in the zero-rotation check) and the gates it meets walking
+ * forward along i's wires: at most scanWindow of them, stopping at
+ * the first it cannot hop. So a gate whose attempt failed fails
+ * again until a gate in that forward window is removed or its own
+ * angle changes. Removing gate k marks k's predecessor on each wire
+ * plus the run behind it of the predecessor's commutation class
+ * (Z-class: diagonal gates and CX controls; X-class: X-basis gates
+ * and CX targets), capped at scanWindow gates, since a scan hops
+ * exactly the gates of its own class. A merge marks the rotation it
+ * merged into. Marks after the gate being tried join the current
+ * pass and the rest the next one, and each pass visits its marks in
+ * index order, so the reductions, the output and every
+ * PeepholeStats field (passes included) equal those of rescanning
+ * every gate on every pass (circuit/peephole_ref). Cost: one full
+ * pass, then work proportional to the reductions times the length
+ * of the class runs walked back from each removal, instead of
+ * up to maxPasses full rescans.
  */
 
 #ifndef TETRIS_CIRCUIT_PEEPHOLE_HH
