@@ -550,6 +550,11 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
         return;
     }
 
+    // The roots' distance center under the current layout serves both
+    // the adaptive check and the clustering in step 1.
+    int center = -1;
+    const long gather_cost = rootClusterCost(tb, layout, center);
+
     // Adaptive tuning (Sec. IV-B2): block-level synthesis is only
     // worthwhile when the structural cancellation (up to
     // 2*(L-1)*(#ps-1) CNOTs with a single leaf tree) outweighs the
@@ -560,21 +565,16 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
         const long savings =
             leaf_size >= 2 ? 2 * (leaf_size - 1) * (num_ps - 1) : 0;
         const double cost = opts_.adaptiveFallbackFactor *
-                            static_cast<double>(
-                                estimateRootClusterCost(tb, layout));
+                            static_cast<double>(gather_cost);
         if (static_cast<double>(savings) <= cost) {
             fallback();
             return;
         }
     }
 
-    // 1. Cluster the root qubits around a distance center.
+    // 1. Cluster the root qubits around that center.
     std::vector<int> root_logicals(tb.rootSet().begin(),
                                    tb.rootSet().end());
-    terminals_.clear();
-    for (int q : root_logicals)
-        terminals_.push_back(layout.physOf(q));
-    int center = hw_.findCenter(terminals_);
     std::vector<int> root_positions =
         growCluster(root_logicals, center, layout, circ, stats);
 
@@ -614,13 +614,20 @@ long
 BlockSynthesizer::estimateRootClusterCost(const TetrisBlock &tb,
                                           const Layout &layout) const
 {
-    const auto &roots = tb.rootSet();
-    if (roots.empty())
+    if (tb.rootSet().empty())
         return 0;
+    int center = -1;
+    return rootClusterCost(tb, layout, center);
+}
+
+long
+BlockSynthesizer::rootClusterCost(const TetrisBlock &tb,
+                                  const Layout &layout, int &center) const
+{
     terminals_.clear();
-    for (size_t q : roots)
+    for (size_t q : tb.rootSet())
         terminals_.push_back(layout.physOf(static_cast<int>(q)));
-    int center = hw_.findCenter(terminals_);
+    center = hw_.findCenter(terminals_);
     long cost = 0;
     for (int t : terminals_)
         cost += hw_.distance(t, center);

@@ -113,6 +113,13 @@ class BlockSynthesizer
         std::vector<int> bridgePositions;
     };
 
+    /**
+     * Distance center of tb's (non-empty) root set under `layout`,
+     * stored in `center`, and the summed distance of the roots to it.
+     */
+    long rootClusterCost(const TetrisBlock &tb, const Layout &layout,
+                         int &center) const;
+
     /** Swap the occupant of `from` along `path` to its last node. */
     void moveAlongPath(const std::vector<int> &path, Layout &layout,
                        Circuit &circ, SynthStats &stats);
@@ -155,10 +162,9 @@ class BlockSynthesizer
      */
     mutable Arena arena_;
     /**
-     * Physical positions of a block's root qubits, refilled by every
-     * root-cluster probe and by synthesizeBlock (findCenter takes a
-     * std::vector, so this is a reused member rather than arena
-     * scratch).
+     * Physical positions of a block's root qubits, refilled by
+     * rootClusterCost (findCenter takes a std::vector, so this is a
+     * reused member rather than arena scratch).
      */
     mutable std::vector<int> terminals_;
 };
