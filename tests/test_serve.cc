@@ -585,7 +585,14 @@ TEST(ServeDrain, CancelQueuedAnswersCancelled)
         threads.emplace_back([&, c] {
             clients[c]->submit(sampleRequest(6, 200 + c), resps[c]);
         });
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Drain once every submit is admitted: one that arrives after
+    // drain() is answered `draining`, not cancelled. The deadline
+    // only bounds a hang; the assertions below catch a short count.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (fx.engine.submittedCount() < static_cast<size_t>(kClients) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     fx.server->drain(/*cancel_queued=*/true);
     for (auto &t : threads)
         t.join();
