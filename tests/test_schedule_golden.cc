@@ -15,6 +15,13 @@
  * tests/data/golden/paulihedral_digests.txt. Paulihedral's circuits
  * lean hardest on the peephole pass, so a change to its reductions
  * shows up there first.
+ *
+ * tests/data/golden/synthesis_digests.txt pins Tetris+O3 on JW BeH2
+ * across the synthesis options the fig20 sweep varies (swapWeight,
+ * bridging, the adaptive fallback) on both evaluation devices. Its
+ * lines extend the format above with the SynthStats counters and a
+ * hash of the final layout, so leaf attachment cannot move a SWAP,
+ * a bridge or a qubit without a mismatch.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +44,8 @@ namespace
 const char *kDigestFile = TETRIS_TEST_DATA_DIR "/golden/schedule_digests.txt";
 const char *kPaulihedralDigestFile =
     TETRIS_TEST_DATA_DIR "/golden/paulihedral_digests.txt";
+const char *kSynthesisDigestFile =
+    TETRIS_TEST_DATA_DIR "/golden/synthesis_digests.txt";
 
 /** "<name> <digest> cnot=<n> depth=<n> duration=<dt>" for one case. */
 std::string
@@ -60,6 +69,23 @@ digestLine(const std::string &name, const CompileResult &r)
     os << name << " " << std::hex << h << std::dec
        << " cnot=" << r.stats.cnotCount << " depth=" << r.stats.depth
        << " duration=" << static_cast<uint64_t>(r.stats.durationDt);
+    return os.str();
+}
+
+/** digestLine plus the SynthStats counters and the final layout. */
+std::string
+synthesisDigestLine(const std::string &name, const CompileResult &r)
+{
+    uint64_t layout_hash = fnvMix(kFnvOffset, r.finalLayout.numPhysical());
+    for (int p : r.finalLayout.toPhysical())
+        layout_hash = fnvMix(layout_hash, p);
+    const SynthStats &s = r.stats.synthesis;
+    std::ostringstream os;
+    os << digestLine(name, r) << " swaps=" << s.insertedSwaps
+       << " cx=" << s.emittedCx << " bridges=" << s.bridgeNodes
+       << " blocks=" << s.blocksWithCancellation
+       << " fallback=" << s.blocksFallback << " layout=" << std::hex
+       << layout_hash;
     return os.str();
 }
 
@@ -151,6 +177,45 @@ TEST(PaulihedralGolden, PaperMoleculesJw)
         ASSERT_NE(it, digests.end())
             << "no golden line for " << name << "; current: " << actual;
         EXPECT_EQ(actual, it->second);
+    }
+}
+
+TEST(SynthesisGolden, BeH2AcrossSynthesisOptions)
+{
+    const auto digests = loadDigests(kSynthesisDigestFile);
+    // Per device: five swap weights, no bridging, no adaptive fallback.
+    ASSERT_EQ(digests.size(), 14u) << "cannot read " << kSynthesisDigestFile;
+    const auto blocks = buildMolecule(moleculeByName("BeH2"), "jw");
+    struct Case
+    {
+        std::string name;
+        SynthesisOptions synthesis;
+    };
+    std::vector<Case> cases;
+    for (const char *w : {"0", "0.1", "1", "10", "100"}) {
+        SynthesisOptions s;
+        s.swapWeight = std::stod(w);
+        cases.push_back({std::string("w") + w, s});
+    }
+    SynthesisOptions no_bridge;
+    no_bridge.enableBridging = false;
+    cases.push_back({"w3/nobridge", no_bridge});
+    SynthesisOptions no_fallback;
+    no_fallback.adaptiveFallbackFactor = 0.0;
+    cases.push_back({"w3/adaptive0", no_fallback});
+
+    for (const CouplingGraph &hw : {ibmIthaca65(), googleSycamore64()}) {
+        for (const Case &c : cases) {
+            TetrisOptions opts;
+            opts.synthesis = c.synthesis;
+            const std::string name = hw.name() + "/BeH2/" + c.name;
+            const std::string actual =
+                synthesisDigestLine(name, compileTetris(blocks, hw, opts));
+            auto it = digests.find(name);
+            ASSERT_NE(it, digests.end())
+                << "no golden line for " << name << "; current: " << actual;
+            EXPECT_EQ(actual, it->second);
+        }
     }
 }
 
