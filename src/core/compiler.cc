@@ -111,9 +111,9 @@ compileTetris(const std::vector<PauliBlock> &blocks,
     // layout setup above count toward compileSeconds only.
     const auto t_rank = std::chrono::steady_clock::now();
     double synth_seconds = 0.0;
-    auto synthesize = [&](size_t idx) {
+    auto synthesize = [&](size_t idx, const RootProbe *probe = nullptr) {
         auto s0 = std::chrono::steady_clock::now();
-        synth.synthesizeBlock(ir[idx], layout, circ, synth_stats);
+        synth.synthesizeBlock(ir[idx], layout, circ, synth_stats, probe);
         synth_seconds += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - s0)
                              .count();
@@ -185,23 +185,24 @@ compileTetris(const std::vector<PauliBlock> &blocks,
             std::partial_sort(scored.begin(), scored.begin() + take,
                               scored.end(), ranksBefore);
 
+            // The chosen block's probe ran under the layout it is
+            // synthesized with, so its center is handed on.
             size_t chosen = 0;
+            RootProbe chosen_probe;
             if (take > 1) {
-                long best_cost =
-                    synth.estimateRootClusterCost(ir[scored[0].block],
-                                                  layout);
+                chosen_probe = synth.probeRoots(ir[scored[0].block], layout);
                 for (size_t i = 1; i < take; ++i) {
-                    long cost = synth.estimateRootClusterCost(
-                        ir[scored[i].block], layout);
-                    if (cost < best_cost) {
-                        best_cost = cost;
+                    RootProbe probe =
+                        synth.probeRoots(ir[scored[i].block], layout);
+                    if (probe.cost < chosen_probe.cost) {
+                        chosen_probe = probe;
                         chosen = i;
                     }
                 }
             }
 
             last_block = takeSlot(scored[chosen].slot);
-            synthesize(last_block);
+            synthesize(last_block, take > 1 ? &chosen_probe : nullptr);
         }
     }
 

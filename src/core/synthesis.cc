@@ -96,7 +96,103 @@ pathToClusterFrontier(const CouplingGraph &hw, int start,
     return {};
 }
 
+/**
+ * Per-hop cost of a CNOT bridge: 2 CNOTs at the block boundary (the
+ * bridge hops are internal leaf edges, canceled between strings),
+ * versus 3 CNOTs per SWAP weighted by w in the score.
+ */
+constexpr double kBridgeHopCost = 2.0;
+
 } // namespace
+
+LeafChoice
+chooseLeaf(const CouplingGraph &hw, const Layout &layout,
+           const std::vector<int> &pending, std::span<const char> blocked,
+           std::span<const char> is_root, std::span<const int> blocked_list,
+           double w, bool bridging, double num_ps, Arena &arena)
+{
+    LeafChoice best;
+    const double root_cost = 2 * num_ps;
+    const double min_cost = std::min(2.0, root_cost);
+
+    // One BFS pass per pending qubit over non-blocked nodes (SWAP
+    // routes) and one restricted to free |0> ancillas (bridge
+    // routes); each visited node adjacent to a mapped target yields
+    // a candidate attachment scored (d-1)*hop + c(target).
+    //
+    // Both prunes rest on the score being nondecreasing in d, which
+    // holds (rounding included) for hop >= 0; a negative or NaN hop
+    // keeps the full scan. A candidate's d is at least the all-pairs
+    // distance to its target, and the BFS pops nodes in
+    // nondecreasing dist. A candidate replaces the best only when
+    // strictly lower, so a scan whose bound reaches best.score could
+    // not change the result. The bound uses the scan's own score
+    // expression, so rounding cannot lift a score below it; a NaN
+    // score (0 * inf) never wins and never lowers a bound.
+    auto scan = [&](size_t i, bool free_only) {
+        const int start = layout.physOf(pending[i]);
+        const double hop = free_only ? kBridgeHopCost : w;
+        const bool prune = hop >= 0;
+        if (prune && best.target >= 0) { // else nothing to beat yet
+            double bound = std::numeric_limits<double>::infinity();
+            for (int t : blocked_list) {
+                double d = hw.distance(start, t);
+                double score = (d - 1) * hop + (is_root[t] ? root_cost : 2);
+                if (score < bound)
+                    bound = score;
+            }
+            if (bound >= best.score)
+                return;
+        }
+
+        Arena::Frame scan_frame(arena);
+        const ArenaAllocator<int> ints(arena);
+        ScratchInts parent(hw.numQubits(), -2, ints);
+        ScratchInts dist(hw.numQubits(), -1, ints);
+        ScratchInts queue(ints);
+        queue.reserve(hw.numQubits());
+        queue.push_back(start);
+        parent[start] = -1;
+        dist[start] = 0;
+        for (size_t head = 0; head < queue.size(); ++head) {
+            int u = queue[head];
+            if (prune && dist[u] * hop + min_cost >= best.score)
+                break;
+            for (int t : hw.neighbors(u)) {
+                if (!blocked[t])
+                    continue;
+                double d = dist[u] + 1;
+                double score = (d - 1) * hop + (is_root[t] ? root_cost : 2);
+                if (score < best.score) {
+                    best.score = score;
+                    best.pendingIdx = i;
+                    best.target = t;
+                    best.bridge = free_only && d > 1;
+                    best.path.clear();
+                    for (int x = u; x != -1; x = parent[x])
+                        best.path.push_back(x);
+                    std::reverse(best.path.begin(), best.path.end());
+                }
+            }
+            for (int v : hw.neighbors(u)) {
+                if (parent[v] != -2 || blocked[v])
+                    continue;
+                if (free_only && !layout.isFree(v))
+                    continue;
+                parent[v] = u;
+                dist[v] = dist[u] + 1;
+                queue.push_back(v);
+            }
+        }
+    };
+
+    for (size_t i = 0; i < pending.size(); ++i) {
+        scan(i, /*free_only=*/false);
+        if (bridging)
+            scan(i, /*free_only=*/true);
+    }
+    return best;
+}
 
 BlockSynthesizer::BlockSynthesizer(const CouplingGraph &hw,
                                    const SynthesisOptions &opts)
@@ -208,6 +304,23 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
     return cluster;
 }
 
+int
+BlockSynthesizer::mostCentral(const std::vector<int> &positions) const
+{
+    int best = positions.front();
+    long best_cost = std::numeric_limits<long>::max();
+    for (int cand : positions) {
+        long cost = 0;
+        for (int other : positions)
+            cost += hw_.distance(cand, other);
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = cand;
+        }
+    }
+    return best;
+}
+
 void
 BlockSynthesizer::buildBfsTree(const std::vector<int> &positions,
                                int root_pos, std::vector<int> &bfs_order,
@@ -297,17 +410,7 @@ BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
 
     // Root the tree at the member position with minimal total
     // distance to the others.
-    int root_pos = cluster.front();
-    long best_cost = std::numeric_limits<long>::max();
-    for (int cand : cluster) {
-        long cost = 0;
-        for (int other : cluster)
-            cost += hw_.distance(cand, other);
-        if (cost < best_cost) {
-            best_cost = cost;
-            root_pos = cand;
-        }
-    }
+    const int root_pos = mostCentral(cluster);
 
     std::vector<int> bfs_order, parent;
     buildBfsTree(cluster, root_pos, bfs_order, parent);
@@ -338,94 +441,36 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
                                SynthStats &stats)
 {
     AttachResult result;
-    const double w = opts_.swapWeight;
-    const double num_ps = static_cast<double>(tb.numStrings());
 
     Arena::Frame frame(arena_);
     ScratchMarks blocked(hw_.numQubits(), 0,
                          ArenaAllocator<char>(arena_));
     ScratchMarks is_root_pos(hw_.numQubits(), 0,
                              ArenaAllocator<char>(arena_));
+    // The marked positions of `blocked`, for chooseLeaf's bound.
+    ScratchInts blocked_list{ArenaAllocator<int>(arena_)};
+    blocked_list.reserve(hw_.numQubits());
+    auto block = [&](int pos) {
+        blocked[pos] = 1;
+        blocked_list.push_back(pos);
+    };
     for (int p : root_positions) {
-        blocked[p] = 1;
+        block(p);
         is_root_pos[p] = 1;
     }
 
     std::vector<int> pending(tb.leafSet().begin(), tb.leafSet().end());
 
-    // Per-hop cost of a CNOT bridge: 2 CNOTs at the block boundary
-    // (the bridge hops are internal leaf edges, canceled between
-    // strings), versus 3 CNOTs per SWAP weighted by w in the score.
-    const double bridge_hop_cost = 2.0;
-
     while (!pending.empty()) {
-        struct Choice
-        {
-            double score = std::numeric_limits<double>::max();
-            size_t pending_idx = 0;
-            int target = -1;
-            bool bridge = false;
-            std::vector<int> path; // start .. approach node
-        } best;
-
-        // One BFS pass per pending qubit over non-blocked nodes
-        // (SWAP routes) and one restricted to free |0> ancillas
-        // (bridge routes); each visited node adjacent to a mapped
-        // target yields a candidate attachment.
-        auto scan = [&](size_t i, bool free_only) {
-            int start = layout.physOf(pending[i]);
-            Arena::Frame scan_frame(arena_);
-            const ArenaAllocator<int> ints(arena_);
-            ScratchInts parent(hw_.numQubits(), -2, ints);
-            ScratchInts dist(hw_.numQubits(), -1, ints);
-            ScratchInts queue(ints);
-            queue.reserve(hw_.numQubits());
-            queue.push_back(start);
-            parent[start] = -1;
-            dist[start] = 0;
-            for (size_t head = 0; head < queue.size(); ++head) {
-                int u = queue[head];
-                for (int t : hw_.neighbors(u)) {
-                    if (!blocked[t])
-                        continue;
-                    double d = dist[u] + 1;
-                    double hop = free_only ? bridge_hop_cost : w;
-                    double score = (d - 1) * hop +
-                                   (is_root_pos[t] ? 2 * num_ps : 2);
-                    if (score < best.score) {
-                        best.score = score;
-                        best.pending_idx = i;
-                        best.target = t;
-                        best.bridge = free_only && d > 1;
-                        best.path.clear();
-                        for (int x = u; x != -1; x = parent[x])
-                            best.path.push_back(x);
-                        std::reverse(best.path.begin(), best.path.end());
-                    }
-                }
-                for (int v : hw_.neighbors(u)) {
-                    if (parent[v] != -2 || blocked[v])
-                        continue;
-                    if (free_only && !layout.isFree(v))
-                        continue;
-                    parent[v] = u;
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        };
-
-        for (size_t i = 0; i < pending.size(); ++i) {
-            scan(i, /*free_only=*/false);
-            if (opts_.enableBridging)
-                scan(i, /*free_only=*/true);
-        }
-
+        const LeafChoice best = chooseLeaf(
+            hw_, layout, pending, blocked, is_root_pos, blocked_list,
+            opts_.swapWeight, opts_.enableBridging,
+            static_cast<double>(tb.numStrings()), arena_);
         if (best.target < 0)
             return result; // ok stays false; caller falls back.
 
-        int q = pending[best.pending_idx];
-        pending.erase(pending.begin() + best.pending_idx);
+        int q = pending[best.pendingIdx];
+        pending.erase(pending.begin() + best.pendingIdx);
         bool target_is_root = is_root_pos[best.target];
 
         if (best.bridge) {
@@ -438,18 +483,18 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
                     {best.path[k - 1], best.path[k], false});
             }
             for (size_t k = 1; k < best.path.size(); ++k) {
-                blocked[best.path[k]] = 1;
+                block(best.path[k]);
                 result.bridgePositions.push_back(best.path[k]);
                 ++stats.bridgeNodes;
             }
-            blocked[best.path.front()] = 1;
+            block(best.path.front());
             result.leafPositions.emplace_back(q, best.path.front());
         } else {
             moveAlongPath(best.path, layout, circ, stats);
             int pos = layout.physOf(q);
             TETRIS_ASSERT(pos == best.path.back());
             result.edges.push_back({pos, best.target, target_is_root});
-            blocked[pos] = 1;
+            block(pos);
             result.leafPositions.emplace_back(q, pos);
         }
     }
@@ -531,7 +576,8 @@ BlockSynthesizer::emitBlock(const TetrisBlock &tb,
 
 void
 BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
-                                  Circuit &circ, SynthStats &stats)
+                                  Circuit &circ, SynthStats &stats,
+                                  const RootProbe *probe)
 {
     const PauliBlock &block = tb.block();
 
@@ -552,8 +598,7 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
 
     // The roots' distance center under the current layout serves both
     // the adaptive check and the clustering in step 1.
-    int center = -1;
-    const long gather_cost = rootClusterCost(tb, layout, center);
+    const RootProbe roots = probe ? *probe : probeRoots(tb, layout);
 
     // Adaptive tuning (Sec. IV-B2): block-level synthesis is only
     // worthwhile when the structural cancellation (up to
@@ -565,7 +610,7 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
         const long savings =
             leaf_size >= 2 ? 2 * (leaf_size - 1) * (num_ps - 1) : 0;
         const double cost = opts_.adaptiveFallbackFactor *
-                            static_cast<double>(gather_cost);
+                            static_cast<double>(roots.cost);
         if (static_cast<double>(savings) <= cost) {
             fallback();
             return;
@@ -576,24 +621,14 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
     std::vector<int> root_logicals(tb.rootSet().begin(),
                                    tb.rootSet().end());
     std::vector<int> root_positions =
-        growCluster(root_logicals, center, layout, circ, stats);
+        growCluster(root_logicals, roots.center, layout, circ, stats);
 
     // 2. Root tree via BFS from the most central member (the center
     // itself when clustering ran; the in-set center when the roots
     // were already connected and no SWAPs were inserted).
-    int tree_root = root_positions.front();
-    long best_cost = std::numeric_limits<long>::max();
-    for (int cand : root_positions) {
-        long cost = 0;
-        for (int other : root_positions)
-            cost += hw_.distance(cand, other);
-        if (cost < best_cost) {
-            best_cost = cost;
-            tree_root = cand;
-        }
-    }
     std::vector<int> root_bfs_order, root_parent;
-    buildBfsTree(root_positions, tree_root, root_bfs_order, root_parent);
+    buildBfsTree(root_positions, mostCentral(root_positions),
+                 root_bfs_order, root_parent);
 
     // 3. Attach the leaf qubits (may insert SWAPs / bridges).
     AttachResult att =
@@ -614,24 +649,23 @@ long
 BlockSynthesizer::estimateRootClusterCost(const TetrisBlock &tb,
                                           const Layout &layout) const
 {
-    if (tb.rootSet().empty())
-        return 0;
-    int center = -1;
-    return rootClusterCost(tb, layout, center);
+    return probeRoots(tb, layout).cost;
 }
 
-long
-BlockSynthesizer::rootClusterCost(const TetrisBlock &tb,
-                                  const Layout &layout, int &center) const
+RootProbe
+BlockSynthesizer::probeRoots(const TetrisBlock &tb,
+                             const Layout &layout) const
 {
+    RootProbe probe;
+    if (tb.rootSet().empty())
+        return probe;
     terminals_.clear();
     for (size_t q : tb.rootSet())
         terminals_.push_back(layout.physOf(static_cast<int>(q)));
-    center = hw_.findCenter(terminals_);
-    long cost = 0;
+    probe.center = hw_.findCenter(terminals_);
     for (int t : terminals_)
-        cost += hw_.distance(t, center);
-    return cost;
+        probe.cost += hw_.distance(t, probe.center);
+    return probe;
 }
 
 } // namespace tetris

@@ -23,6 +23,8 @@
 #ifndef TETRIS_CORE_SYNTHESIS_HH
 #define TETRIS_CORE_SYNTHESIS_HH
 
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -65,6 +67,54 @@ struct SynthStats
     size_t blocksFallback = 0;
 };
 
+/** One leaf attachment picked by chooseLeaf. */
+struct LeafChoice
+{
+    /** score(qn, qm, w) of the pick; max() when nothing attaches. */
+    double score = std::numeric_limits<double>::max();
+    /** Index into `pending` of the leaf to attach. */
+    size_t pendingIdx = 0;
+    /** Blocked position the leaf attaches to; -1 when none can. */
+    int target = -1;
+    /** Attach through the free ancillas on `path` (not SWAPs). */
+    bool bridge = false;
+    /** The leaf's position .. the node adjacent to `target`. */
+    std::vector<int> path;
+};
+
+/**
+ * The leaf attachment minimizing score(qn, qm, w) = (d-1)*hop +
+ * (qm in root ? 2*#ps : 2) over every pending leaf qn and blocked
+ * target qm. Per leaf, one BFS over unblocked nodes scores SWAP
+ * routes (hop = w) and, with `bridging`, one over free ancillas
+ * scores bridges (hop = 2). Ties go to the earlier leaf, then SWAP
+ * before bridge, then BFS visit and neighbour order.
+ *
+ * `blocked` and `is_root` are per-position marks; `blocked_list`
+ * holds exactly the marked positions. For hop >= 0 a scan is skipped
+ * when the all-pairs distance bound over `blocked_list` cannot beat
+ * the best score so far, and stopped once its BFS level cannot. The
+ * result equals synthesis_ref::chooseLeafRef (the unpruned loop);
+ * tests/test_synthesis_ref.cc checks that. Internal to
+ * BlockSynthesizer, declared here for that test.
+ */
+LeafChoice chooseLeaf(const CouplingGraph &hw, const Layout &layout,
+                      const std::vector<int> &pending,
+                      std::span<const char> blocked,
+                      std::span<const char> is_root,
+                      std::span<const int> blocked_list, double w,
+                      bool bridging, double num_ps, Arena &arena);
+
+/**
+ * A block's root-cluster probe: the distance center of its roots
+ * under a layout, and their summed distance to it.
+ */
+struct RootProbe
+{
+    long cost = 0;
+    int center = -1;
+};
+
 /**
  * Stateful synthesizer bound to one coupling graph. The layout is
  * owned by the caller and evolves across blocks (SWAPs persist).
@@ -74,9 +124,14 @@ class BlockSynthesizer
   public:
     BlockSynthesizer(const CouplingGraph &hw, const SynthesisOptions &opts);
 
-    /** Synthesize one Tetris block into `circ`, updating `layout`. */
+    /**
+     * Synthesize one Tetris block into `circ`, updating `layout`.
+     * `probe`, when given, is probeRoots(tb, layout) for this very
+     * layout; it saves the center search.
+     */
     void synthesizeBlock(const TetrisBlock &tb, Layout &layout,
-                         Circuit &circ, SynthStats &stats);
+                         Circuit &circ, SynthStats &stats,
+                         const RootProbe *probe = nullptr);
 
     /**
      * Synthesize exp(-i angle/2 * P) for one string (PH-style
@@ -92,6 +147,13 @@ class BlockSynthesizer
      */
     long estimateRootClusterCost(const TetrisBlock &tb,
                                  const Layout &layout) const;
+
+    /**
+     * The root-cluster probe of tb's root set under `layout` (cost 0
+     * and center -1 for an empty set); its cost is
+     * estimateRootClusterCost.
+     */
+    RootProbe probeRoots(const TetrisBlock &tb, const Layout &layout) const;
 
     const SynthesisOptions &options() const { return opts_; }
 
@@ -113,13 +175,6 @@ class BlockSynthesizer
         std::vector<int> bridgePositions;
     };
 
-    /**
-     * Distance center of tb's (non-empty) root set under `layout`,
-     * stored in `center`, and the summed distance of the roots to it.
-     */
-    long rootClusterCost(const TetrisBlock &tb, const Layout &layout,
-                         int &center) const;
-
     /** Swap the occupant of `from` along `path` to its last node. */
     void moveAlongPath(const std::vector<int> &path, Layout &layout,
                        Circuit &circ, SynthStats &stats);
@@ -132,6 +187,12 @@ class BlockSynthesizer
     std::vector<int> growCluster(const std::vector<int> &logicals,
                                  int center, Layout &layout,
                                  Circuit &circ, SynthStats &stats);
+
+    /**
+     * The member of `positions` with the least summed distance to
+     * the others; the first one wins a tie.
+     */
+    int mostCentral(const std::vector<int> &positions) const;
 
     /** Root-tree parent relation via BFS from rootPos. */
     void buildBfsTree(const std::vector<int> &positions, int root_pos,
@@ -163,7 +224,7 @@ class BlockSynthesizer
     mutable Arena arena_;
     /**
      * Physical positions of a block's root qubits, refilled by
-     * rootClusterCost (findCenter takes a std::vector, so this is a
+     * probeRoots (findCenter takes a std::vector, so this is a
      * reused member rather than arena scratch).
      */
     mutable std::vector<int> terminals_;
