@@ -105,10 +105,9 @@ lookaheadOrder(const std::vector<PauliBlock> &blocks,
             });
 
         size_t chosen = candidates[0];
-        long best_cost = synth.estimateRootClusterCost(ir[chosen], layout);
+        long best_cost = synth.probeRoots(ir[chosen], layout).cost;
         for (size_t i = 1; i < take; ++i) {
-            long cost =
-                synth.estimateRootClusterCost(ir[candidates[i]], layout);
+            long cost = synth.probeRoots(ir[candidates[i]], layout).cost;
             if (cost < best_cost) {
                 best_cost = cost;
                 chosen = candidates[i];

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "core/leaf_choice.hh"
 
 namespace tetris
 {
@@ -643,13 +644,6 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
     // 4. Emit with structural cancellation.
     ++stats.blocksWithCancellation;
     emitBlock(tb, root_bfs_order, root_parent, att, layout, circ, stats);
-}
-
-long
-BlockSynthesizer::estimateRootClusterCost(const TetrisBlock &tb,
-                                          const Layout &layout) const
-{
-    return probeRoots(tb, layout).cost;
 }
 
 RootProbe

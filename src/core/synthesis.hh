@@ -23,8 +23,6 @@
 #ifndef TETRIS_CORE_SYNTHESIS_HH
 #define TETRIS_CORE_SYNTHESIS_HH
 
-#include <limits>
-#include <span>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -67,44 +65,6 @@ struct SynthStats
     size_t blocksFallback = 0;
 };
 
-/** One leaf attachment picked by chooseLeaf. */
-struct LeafChoice
-{
-    /** score(qn, qm, w) of the pick; max() when nothing attaches. */
-    double score = std::numeric_limits<double>::max();
-    /** Index into `pending` of the leaf to attach. */
-    size_t pendingIdx = 0;
-    /** Blocked position the leaf attaches to; -1 when none can. */
-    int target = -1;
-    /** Attach through the free ancillas on `path` (not SWAPs). */
-    bool bridge = false;
-    /** The leaf's position .. the node adjacent to `target`. */
-    std::vector<int> path;
-};
-
-/**
- * The leaf attachment minimizing score(qn, qm, w) = (d-1)*hop +
- * (qm in root ? 2*#ps : 2) over every pending leaf qn and blocked
- * target qm. Per leaf, one BFS over unblocked nodes scores SWAP
- * routes (hop = w) and, with `bridging`, one over free ancillas
- * scores bridges (hop = 2). Ties go to the earlier leaf, then SWAP
- * before bridge, then BFS visit and neighbour order.
- *
- * `blocked` and `is_root` are per-position marks; `blocked_list`
- * holds exactly the marked positions. For hop >= 0 a scan is skipped
- * when the all-pairs distance bound over `blocked_list` cannot beat
- * the best score so far, and stopped once its BFS level cannot. The
- * result equals synthesis_ref::chooseLeafRef (the unpruned loop);
- * tests/test_synthesis_ref.cc checks that. Internal to
- * BlockSynthesizer, declared here for that test.
- */
-LeafChoice chooseLeaf(const CouplingGraph &hw, const Layout &layout,
-                      const std::vector<int> &pending,
-                      std::span<const char> blocked,
-                      std::span<const char> is_root,
-                      std::span<const int> blocked_list, double w,
-                      bool bridging, double num_ps, Arena &arena);
-
 /**
  * A block's root-cluster probe: the distance center of its roots
  * under a layout, and their summed distance to it.
@@ -142,16 +102,9 @@ class BlockSynthesizer
                           SynthStats &stats);
 
     /**
-     * Scheduler helper: rough SWAP count needed to gather the
-     * block's root qubits under the given layout.
-     */
-    long estimateRootClusterCost(const TetrisBlock &tb,
-                                 const Layout &layout) const;
-
-    /**
-     * The root-cluster probe of tb's root set under `layout` (cost 0
-     * and center -1 for an empty set); its cost is
-     * estimateRootClusterCost.
+     * Scheduler helper: the root-cluster probe of tb's root set under
+     * `layout` (cost 0 and center -1 for an empty set). Its cost is a
+     * rough SWAP count needed to gather the roots.
      */
     RootProbe probeRoots(const TetrisBlock &tb, const Layout &layout) const;
 

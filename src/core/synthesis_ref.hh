@@ -14,7 +14,7 @@
 #ifndef TETRIS_CORE_SYNTHESIS_REF_HH
 #define TETRIS_CORE_SYNTHESIS_REF_HH
 
-#include "core/synthesis.hh"
+#include "core/leaf_choice.hh"
 
 namespace tetris::synthesis_ref
 {

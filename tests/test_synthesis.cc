@@ -285,7 +285,7 @@ TEST(Synthesis, EstimateRootClusterCostIsZeroWhenClustered)
     Layout layout(4, 4);
     BlockSynthesizer synth(hw, SynthesisOptions{});
     // Roots {0,1} adjacent: cost should be minimal (<= 1).
-    EXPECT_LE(synth.estimateRootClusterCost(tb, layout), 1);
+    EXPECT_LE(synth.probeRoots(tb, layout).cost, 1);
 }
 
 class SynthesisRandomBlocks : public ::testing::TestWithParam<int>

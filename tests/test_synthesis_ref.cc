@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -81,7 +80,7 @@ struct AttachState
     std::vector<int> blockedList;
     std::vector<int> pending;
 
-    AttachState(const Layout &l)
+    explicit AttachState(const Layout &l)
         : layout(l), blocked(l.numPhysical(), 0), isRoot(l.numPhysical(), 0)
     {
     }
